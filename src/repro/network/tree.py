@@ -67,6 +67,11 @@ class BrokerTree:
             raise ValueError("tree has no leaf brokers")
         self._leaf_row = {int(v): i for i, v in enumerate(self._leaves)}
         self._subtree_leaf_rows = self._compute_subtree_leaves()
+        depth = np.zeros(pos.shape[0], dtype=int)
+        for v in self._topological_order()[1:]:
+            depth[v] = depth[par[v]] + 1
+        self._levels = tuple(np.flatnonzero(depth == d)
+                             for d in range(1, int(depth.max()) + 1))
 
         pos.setflags(write=False)
         par.setflags(write=False)
@@ -169,6 +174,11 @@ class BrokerTree:
         while path[-1] != PUBLISHER:
             path.append(int(self._parents[path[-1]]))
         return path
+
+    @property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """Broker node ids grouped by depth: level ``d`` at index ``d - 1``."""
+        return self._levels
 
     def depth(self, node: int) -> int:
         return len(self.path_to_root(node)) - 1

@@ -4,8 +4,8 @@ from .events import EventDistribution, PiecewiseUniformEvents, UniformEvents
 from .filters import Filter
 from .matching import BruteForceMatcher, GridMatcher, Matcher, best_matcher
 from .rtree import RTreeMatcher
-from .simulator import (SimulationResult, root_first_order,
-                        sample_event_stream, simulate_dissemination)
+from .simulator import (SimulationResult, route_columns, sample_event_stream,
+                        simulate_dissemination)
 
 __all__ = [
     "Filter",
@@ -18,7 +18,7 @@ __all__ = [
     "RTreeMatcher",
     "best_matcher",
     "SimulationResult",
-    "root_first_order",
+    "route_columns",
     "sample_event_stream",
     "simulate_dissemination",
 ]

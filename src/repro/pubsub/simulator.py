@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -32,7 +33,7 @@ from .filters import Filter
 from .matching import Matcher, best_matcher
 
 __all__ = ["SimulationResult", "sample_event_stream", "simulate_dissemination",
-           "root_first_order", "SIMULATION_SCHEMA_VERSION"]
+           "route_columns", "SIMULATION_SCHEMA_VERSION"]
 
 #: Schema version stamped into JSON exports (matches the runtime's), so
 #: serve/runtime/bench outputs are uniformly parseable.
@@ -137,8 +138,9 @@ class SimulationResult:
              params: dict[str, Any] | None = None) -> None:
         """Write :meth:`to_dict` plus the git/host provenance block.
 
-        ``params`` (e.g. the CLI's ``--chunk-size``) is stamped into the
-        payload so the provenance records how the run was produced.
+        ``params`` (e.g. the CLI's ``--chunk-size`` or ``--epoch-batch``)
+        is stamped into the payload so the provenance records how the run
+        was produced.
         """
         from ..bench.harness import run_metadata  # lazy: avoids cycles
         payload = self.to_dict()
@@ -163,15 +165,13 @@ def simulate_dissemination(tree: BrokerTree,
     """Publish sampled events and measure traffic, deliveries, and misses.
 
     The hot path is fully batched: each chunk's per-node entry masks come
-    from one stacked ``RectSet.contains_points`` call over every filter
-    rectangle (a segmented ``logical_or`` recovers per-filter masks), and
-    per-subscriber deliveries come from one ``matcher.match_points``
-    matrix instead of a brute-force scan per leaf.  Results are
-    bit-identical for any matcher that agrees with the brute-force
-    oracle and for any ``chunk_size`` (given a chunk-stable event
-    distribution): all counts are integer sums over the same boolean
-    matrices, and the latency total is computed once from the final
-    delivery counts.
+    from one :func:`route_columns` call, and per-subscriber deliveries
+    come from one ``matcher.match_points`` matrix instead of a
+    brute-force scan per leaf.  Results are bit-identical for any
+    matcher that agrees with the brute-force oracle and for any
+    ``chunk_size`` (given a chunk-stable event distribution): all counts
+    are integer sums over the same boolean matrices, and the latency
+    total is computed once from the final delivery counts.
 
     Parameters
     ----------
@@ -211,23 +211,8 @@ def simulate_dissemination(tree: BrokerTree,
     missed = np.zeros(num_subscribers, dtype=np.int64)
     total_latency = 0.0
 
-    order = root_first_order(tree)
     if subs_by_leaf and matcher is None:
         matcher = best_matcher(subscriptions, distribution.domain)
-
-    # Stack every (non-empty) filter's rectangles into one RectSet so a
-    # chunk's containment against *all* filters is a single matrix op; a
-    # segmented logical_or then recovers each filter's any-rect mask.
-    stack_nodes = [node for node in order[1:] if not filters[node].is_empty()]
-    stacked: RectSet | None = None
-    if stack_nodes:
-        stacked = RectSet(
-            np.concatenate([filters[n].rects.lo for n in stack_nodes]),
-            np.concatenate([filters[n].rects.hi for n in stack_nodes]),
-            validate=False)
-        starts = np.cumsum([0] + [len(filters[n].rects)
-                                  for n in stack_nodes])[:-1]
-        stack_row = {node: i for i, node in enumerate(stack_nodes)}
 
     remaining = num_events
     while remaining > 0:
@@ -235,17 +220,7 @@ def simulate_dissemination(tree: BrokerTree,
         remaining -= batch
         events = distribution.sample(rng, batch)
 
-        entered = np.zeros((num_nodes, batch), dtype=bool)
-        entered[PUBLISHER] = True
-        if stacked is not None:
-            in_filter = np.logical_or.reduceat(
-                stacked.contains_points(events), starts, axis=0)
-            for node in order[1:]:
-                row = stack_row.get(node)
-                if row is None:
-                    continue  # empty filter: the node never enters
-                parent = int(tree.parents[node])
-                entered[node] = entered[parent] & in_filter[row]
+        entered = route_columns(tree, filters, events)
         node_entries += entered.sum(axis=1)
 
         if subs_by_leaf:
@@ -276,13 +251,33 @@ def simulate_dissemination(tree: BrokerTree,
                             total_delivery_latency=total_latency)
 
 
-def root_first_order(tree: BrokerTree) -> list[int]:
-    """Node ids in a parent-before-child order (publisher first)."""
-    order = [PUBLISHER]
-    stack = [PUBLISHER]
-    while stack:
-        node = stack.pop()
-        for child in tree.children(node):
-            order.append(child)
-            stack.append(child)
-    return order
+def route_columns(tree: BrokerTree, filters: dict[int, Filter],
+                  points: np.ndarray) -> np.ndarray:
+    """Route a column of events down the tree; the entry mask of every node.
+
+    ``entered[v, i]`` is true iff event ``i`` entered node ``v``: it
+    entered ``v``'s parent and lies inside ``v``'s filter (the publisher
+    row is all true).  This is the event plane's one routing kernel —
+    the batch simulator, the epoch-mode runtime (which masks crashed
+    brokers out afterwards) and the live broker's batch path all call
+    it.  Every filter rectangle of the tree is tested in one stacked
+    ``contains_points`` call (a segmented ``logical_or`` recovers each
+    filter's mask), and the tree is walked one level at a time, so a
+    call costs a fixed handful of numpy operations per tree level.
+    """
+    pts = np.asarray(points, dtype=float)
+    entered = np.zeros((tree.num_nodes, pts.shape[0]), dtype=bool)
+    # An empty filter admits nothing (and has no rows to stack).
+    nodes = [v for v in range(1, tree.num_nodes) if not filters[v].is_empty()]
+    if nodes:
+        rects = [filters[v].rects for v in nodes]
+        stacked = RectSet(np.concatenate([r.lo for r in rects]),
+                          np.concatenate([r.hi for r in rects]),
+                          validate=False)
+        starts = list(accumulate((len(r) for r in rects[:-1]), initial=0))
+        entered[nodes] = np.logical_or.reduceat(
+            stacked.contains_points(pts), starts, axis=0)
+    entered[PUBLISHER] = True
+    for level in tree.levels:   # parents' rows are final before children's
+        entered[level] &= entered[tree.parents[level]]
+    return entered

@@ -35,7 +35,6 @@ broken by insertion order.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -47,9 +46,9 @@ from ..network.tree import PUBLISHER, BrokerTree
 from ..pubsub.events import EventDistribution
 from ..pubsub.filters import Filter
 from ..pubsub.matching import Matcher, best_matcher
-from ..pubsub.simulator import (SimulationResult, root_first_order,
+from ..pubsub.simulator import (SimulationResult, route_columns,
                                 sample_event_stream)
-from .telemetry import Telemetry
+from .telemetry import Histogram, Telemetry
 
 __all__ = ["RuntimeConfig", "RuntimeResult", "DisseminationEngine",
            "RESULT_SCHEMA_VERSION"]
@@ -95,27 +94,18 @@ class RuntimeConfig:
 
 
 @dataclass(frozen=True)
-class RuntimeResult:
+class RuntimeResult(SimulationResult):
     """Counts and telemetry of one engine run.
 
-    The count fields mirror :class:`~repro.pubsub.simulator.SimulationResult`
-    so the two can be compared directly (see :meth:`as_simulation_result`).
+    The count fields, and the metrics derived from them, are those of
+    :class:`~repro.pubsub.simulator.SimulationResult`, so the two compare
+    directly (see :meth:`as_simulation_result`).
     """
 
-    num_events: int
-    node_entries: np.ndarray       #: events that entered each tree node
-    deliveries: np.ndarray         #: deliveries per subscriber
-    missed: np.ndarray             #: matched-but-undelivered events per subscriber
-    total_delivery_latency: float
     duration: float                #: simulated time of the last processed action
     queue_peaks: np.ndarray        #: max ingress queue depth seen per node
     telemetry: Telemetry
     aborted: bool = False          #: run hit the config's ``max_duration``
-
-    @property
-    def total_broker_entries(self) -> int:
-        """Total inbound broker traffic (excludes the publisher itself)."""
-        return int(self.node_entries[1:].sum())
 
     @property
     def total_deliveries(self) -> int:
@@ -125,27 +115,6 @@ class RuntimeResult:
     def total_missed(self) -> int:
         return int(self.missed.sum())
 
-    @property
-    def mean_delivery_latency(self) -> float:
-        delivered = self.deliveries.sum()
-        if delivered == 0:
-            return 0.0
-        return self.total_delivery_latency / float(delivered)
-
-    def empirical_bandwidth(self, domain_measure: float) -> float:
-        """Traffic fraction scaled to the domain measure (see the batch sim)."""
-        if self.num_events == 0:
-            return 0.0
-        return self.total_broker_entries / self.num_events * domain_measure
-
-    @property
-    def delivery_rate(self) -> float:
-        """Fraction of matched events actually delivered (1.0 when none matched)."""
-        expected = int(self.deliveries.sum()) + int(self.missed.sum())
-        if expected == 0:
-            return 1.0
-        return float(self.deliveries.sum()) / expected
-
     def events_per_time(self) -> float:
         """Published events per unit of simulated time."""
         if self.duration <= 0.0:
@@ -153,7 +122,7 @@ class RuntimeResult:
         return self.num_events / self.duration
 
     def as_simulation_result(self) -> SimulationResult:
-        """View as a batch :class:`SimulationResult` for metric reuse."""
+        """View as a batch :class:`SimulationResult` (its JSON form too)."""
         return SimulationResult(
             num_events=self.num_events,
             node_entries=self.node_entries,
@@ -181,22 +150,6 @@ class RuntimeResult:
             "delivery_rate": self.delivery_rate,
             "telemetry": self.telemetry.to_dict(),
         }
-
-    def dump(self, path: str, *,
-             params: dict[str, Any] | None = None) -> None:
-        """Write :meth:`to_dict` plus the provenance metadata block.
-
-        ``params`` (e.g. the CLI's ``--epoch-batch``) is stamped into the
-        payload so the provenance records how the run was produced.
-        """
-        from ..bench.harness import run_metadata
-        payload = self.to_dict()
-        if params:
-            payload["params"] = dict(params)
-        payload["metadata"] = run_metadata()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 class _BrokerState:
@@ -229,12 +182,9 @@ class DisseminationEngine:
         Optional subscriber indices this engine accounts deliveries for
         (a shard's subgroup).  The *control plane* — forwarding, queues,
         loss draws, faults, failover — is subscriber-independent and runs
-        in full; only matched/delivery counters and latency groups are
-        restricted, so summing disjoint shards reproduces the full run.
-    defer_delivery_fold:
-        Skip the run-end canonical latency fold (and the
-        ``missed_deliveries`` counter); a sharded run's parent performs
-        the one global fold over :meth:`drain_delivery_groups` instead.
+        in full; only matched/delivery counters and the delivery latency
+        histogram are restricted, so summing disjoint shards reproduces
+        the full run.
     epoch_matcher:
         Pre-built matcher for epoch mode, rows over ``delivery_members``
         (or the full population).  Shard workers inject a cover-filtered
@@ -251,7 +201,6 @@ class DisseminationEngine:
                  subscriber_points: np.ndarray | None = None,
                  telemetry: Telemetry | None = None,
                  delivery_members: np.ndarray | None = None,
-                 defer_delivery_fold: bool = False,
                  epoch_matcher: Matcher | None = None):
         self.tree = tree
         self.config = config or RuntimeConfig()
@@ -306,27 +255,23 @@ class DisseminationEngine:
             self._delivery_members = None
             self._member_mask = None
             self._member_rows = None
-        self._defer_delivery_fold = bool(defer_delivery_fold)
         self._node_entries = np.zeros(tree.num_nodes, dtype=np.int64)
         self._deliveries = np.zeros(m, dtype=np.int64)
         self._matched = np.zeros(m, dtype=np.int64)
-        self._total_latency = 0.0
+        # Every delivery's latency, exactly and order-free (see
+        # Histogram): scalar heap order, epoch blocks and shard splits
+        # all reach the same total.  Folded into the telemetry at run end.
+        self._latency = Histogram("delivery_latency")
         self._now = 0.0
         self._events: np.ndarray | None = None
         self._traces: list[Any] = []
 
-        # Epoch-mode machinery (see run()): a parent-before-child node
-        # order for level-wise matrix steps, a min-heap of pending
-        # control times (the epoch barriers), a watermark of publishes
-        # consumed by matrix blocks, and the per-(event, leaf) delivery
-        # latency groups accumulated in canonical order at run end so
-        # scalar and epoch stepping produce the identical float total.
-        self._order = root_first_order(tree)
+        # Epoch-mode machinery (see run()): a min-heap of pending control
+        # times (the epoch barriers) and a watermark of publishes
+        # consumed by matrix blocks.
         self._pending_controls: list[float] = []
         self._running = False
         self._published_through = 0
-        self._delivery_groups: list[
-            tuple[int, int, np.ndarray, np.ndarray]] = []
         self._epoch_matcher = epoch_matcher
         self._run_interval = self.config.publish_interval
         self._run_domain: Any = None
@@ -501,25 +446,12 @@ class DisseminationEngine:
                     self._serve(node, event_idx, time)
         self._running = False
 
-        # Delivery latency accumulates in canonical (event, leaf) order —
-        # the scalar heap order and the epoch block order both reduce to
-        # this one sequence of float additions, which is what makes the
-        # two modes bit-identical (and histograms reproducible).  Sharded
-        # runs defer the fold: the parent merges every shard's groups
-        # into the one global canonical sequence instead.
-        if not self._defer_delivery_fold:
-            for _event, _leaf, _receivers, latency in sorted(
-                    self._delivery_groups, key=lambda g: (g[0], g[1])):
-                self._total_latency += float(latency.sum())
-                self.telemetry.histogram(
-                    "delivery_latency").observe_many(latency)
-            self._delivery_groups.clear()
-
+        if self._latency.count:
+            self.telemetry.histogram("delivery_latency").merge(self._latency)
         for span in self.telemetry.open_spans():
             span.close(self._now)
         missed = np.maximum(self._matched - self._deliveries, 0)
-        if not self._defer_delivery_fold:
-            self.telemetry.counter("missed_deliveries").inc(int(missed.sum()))
+        self.telemetry.counter("missed_deliveries").inc(int(missed.sum()))
         peaks = np.array([b.peak for b in self._brokers], dtype=np.int64)
         if peaks.size:
             self.telemetry.gauge("queue_depth_peak").set(int(peaks.max()))
@@ -528,7 +460,7 @@ class DisseminationEngine:
             node_entries=self._node_entries.copy(),
             deliveries=self._deliveries.copy(),
             missed=missed,
-            total_delivery_latency=self._total_latency,
+            total_delivery_latency=self._latency.sum,
             duration=self._now,
             queue_peaks=peaks,
             telemetry=self.telemetry,
@@ -569,19 +501,6 @@ class DisseminationEngine:
                 and config.publish_interval > 0.0
                 and config.publish_interval == self._run_interval)
 
-    def drain_delivery_groups(
-            self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Canonically ordered ``(event, leaf, receivers, latencies)`` groups.
-
-        Only meaningful after a ``defer_delivery_fold`` run: the shard
-        parent concatenates every shard's groups per ``(event, leaf)``
-        key, re-sorts by receiver index, and performs the single global
-        latency fold the unsharded engine would have done.
-        """
-        groups = sorted(self._delivery_groups, key=lambda g: (g[0], g[1]))
-        self._delivery_groups.clear()
-        return groups
-
     # -- message lifecycle ---------------------------------------------------
 
     def _publish(self, k: int, time: float) -> None:
@@ -618,8 +537,9 @@ class DisseminationEngine:
         complete strictly *before* the next pending control time (and
         within ``max_duration``), so crash/recover/churn barriers see
         exactly the scalar engine's state.  Counts are the same boolean
-        matrices summed; latency groups enter the same canonical
-        accumulator as the scalar path.
+        matrices summed; each delivery's latency is the same float the
+        scalar path computes, and the whole block's latencies enter the
+        order-free latency histogram in one call.
         """
         config = self.config
         tree = self.tree
@@ -627,9 +547,9 @@ class DisseminationEngine:
         t_vec = np.arange(k, end, dtype=np.int64) * config.publish_interval
         arrive = np.empty((tree.num_nodes, len(t_vec)))
         arrive[PUBLISHER] = t_vec
-        for node in self._order[1:]:
-            arrive[node] = (arrive[int(tree.parents[node])]
-                            + self._hop[node])
+        for level in tree.levels:
+            arrive[level] = (arrive[tree.parents[level]]
+                             + self._hop[level][:, None])
         bound = arrive.max(axis=0)   # conservative: over all nodes
         barrier = (self._pending_controls[0] if self._pending_controls
                    else np.inf)
@@ -646,7 +566,6 @@ class DisseminationEngine:
         pts = self._events[k:k + n]
         t_vec = t_vec[:n]
         arrive = arrive[:, :n]
-        self._node_entries[PUBLISHER] += n
         self.telemetry.counter("events_published").inc(n)
 
         # Matcher rows are local to the delivery subgroup (the full
@@ -663,35 +582,33 @@ class DisseminationEngine:
                 self._matched[self._delivery_members] += (
                     match & act[:, None]).sum(axis=1)
 
-        # Level-wise entry masks: an event arrives at a node iff it
-        # entered the (alive) parent and the node's filter contains it;
-        # arrivals at a crashed node are lost, not forwarded.
-        entered = np.zeros((tree.num_nodes, n), dtype=bool)
-        entered[PUBLISHER] = True
-        arrived_any = np.zeros((tree.num_nodes, n), dtype=bool)
-        entries = 0
-        lost = 0
-        for node in self._order[1:]:
-            parent = int(tree.parents[node])
-            if not entered[parent].any():
-                continue
-            arrived = entered[parent] & self._filters[node].contains_points(pts)
-            count = int(arrived.sum())
-            if count == 0:
-                continue
-            arrived_any[node] = arrived
-            if self._brokers[node].alive:
-                entered[node] = arrived
-                self._node_entries[node] += count
-                entries += count
-            else:
-                lost += count
+        # An event arrives at a node iff it entered the parent and the
+        # node's filter contains it; arrivals at a crashed node are
+        # lost, not forwarded, so a node is entered only along a path of
+        # alive brokers.
+        arrived = route_columns(tree, self._filters, pts)
+        alive = self.alive_mask
+        if alive.all():
+            entered = arrived
+        else:
+            path_alive = alive.copy()
+            for level in tree.levels:
+                path_alive[level] &= path_alive[tree.parents[level]]
+            parent_alive = path_alive[np.maximum(tree.parents, 0)]
+            parent_alive[PUBLISHER] = True
+            arrived = arrived & parent_alive[:, None]
+            entered = arrived & path_alive[:, None]
+            lost = int(arrived[~alive].sum())
+            if lost:
+                self.telemetry.counter("events_lost_crashed").inc(lost)
+        counts = entered.sum(axis=1)
+        self._node_entries += counts
+        entries = int(counts[1:].sum())
         if entries:
             self.telemetry.counter("broker_entries").inc(entries)
-        if lost:
-            self.telemetry.counter("events_lost_crashed").inc(lost)
 
         delivered_total = 0
+        latencies = []
         for leaf in tree.leaves:
             leaf = int(leaf)
             col = entered[leaf]
@@ -705,36 +622,25 @@ class DisseminationEngine:
             rows = (members if self._member_rows is None
                     else self._member_rows[members])
             delivered = match[rows] & col[None, :]
-            counts = delivered.sum(axis=1)
-            self._deliveries[members] += counts
-            if not counts.any():
+            self._deliveries[members] += delivered.sum(axis=1)
+            receivers, events = np.nonzero(delivered)
+            if len(receivers) == 0:
                 continue
-            delivered_total += int(counts.sum())
-            hop = None
+            delivered_total += len(receivers)
+            latency = arrive[leaf, events] - t_vec[events]
             if self._subscriber_points is not None:
                 hop = np.linalg.norm(
                     tree.positions[leaf] - self._subscriber_points[members],
                     axis=1)
-            for i in range(n):
-                mask = delivered[:, i]
-                receivers = int(mask.sum())
-                if receivers == 0:
-                    continue
-                latency = np.full(receivers,
-                                  float(arrive[leaf, i]) - float(t_vec[i]))
-                if hop is not None:
-                    latency = latency + hop[mask]
-                self._delivery_groups.append(
-                    (k + i, leaf, members[mask], latency))
+                latency = latency + hop[receivers]
+            latencies.append(latency)
         if delivered_total:
             self.telemetry.counter("deliveries").inc(delivered_total)
+            self._latency.observe_many(np.concatenate(latencies))
 
         # Advance the clock to the block's last *processed* action: the
         # final publish, or the latest arrival that actually happened.
-        completion = float(t_vec[-1])
-        if arrived_any.any():
-            completion = max(completion, float(arrive[arrived_any].max()))
-        self._now = max(self._now, completion)
+        self._now = max(self._now, float(arrive[arrived].max()))
         self._published_through = k + n
 
     def _forward(self, node: int, k: int, time: float) -> None:
@@ -804,14 +710,14 @@ class DisseminationEngine:
         if len(receivers) == 0:
             return
         self._deliveries[receivers] += 1
-        publish_time = k * self.config.publish_interval
-        latency = np.full(len(receivers), time - publish_time)
+        latency = np.full(len(receivers),
+                          time - k * self.config.publish_interval)
         if self._subscriber_points is not None:
             latency = latency + np.linalg.norm(
                 self.tree.positions[leaf] - self._subscriber_points[receivers],
                 axis=1)
-        # Accumulated at run end in canonical (event, leaf) order; see run().
-        self._delivery_groups.append((k, leaf, receivers, latency))
+        for value in latency.tolist():
+            self._latency.observe(value)
         self.telemetry.counter("deliveries").inc(len(receivers))
         if k < self.config.trace_events:
             span = self._traces[k]

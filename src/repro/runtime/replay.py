@@ -76,8 +76,8 @@ def replay_churn(problem: SAProblem,
     filters, follow-up re-optimization, ...).
 
     ``engine_kwargs`` passes extra :class:`DisseminationEngine` keywords
-    through (shard workers use ``delivery_members`` /
-    ``defer_delivery_fold``); the churn control plane itself is
+    through (shard workers use ``delivery_members`` and
+    ``epoch_matcher``); the churn control plane itself is
     subscriber-independent, so restricted engines replay identically.
     """
     engine, system = prepare_replay(
@@ -104,8 +104,7 @@ def prepare_replay(problem: SAProblem,
     """Build the engine + manager for a churn replay without running it.
 
     :func:`replay_churn` composes this with ``engine.run``; shard
-    workers use it directly so they can drain the engine's deferred
-    delivery groups after the run.
+    workers use it directly.
     """
     if trace.population_size != problem.num_subscribers:
         raise ValueError("trace population must match the problem's "

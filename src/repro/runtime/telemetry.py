@@ -12,19 +12,25 @@ JSON string/file (:meth:`Telemetry.to_json` / :meth:`Telemetry.dump`).
 Histograms are streaming: fixed bucket boundaries, so observing a value
 is O(log #buckets) and memory does not grow with the number of
 observations.  Quantiles are therefore bucket-resolution estimates.
+A histogram's ``sum`` is an :class:`ExactSum`: the correctly rounded sum
+of every observed value, independent of the order (or the batching) in
+which the values arrived, so two histograms over disjoint parts of a
+run :meth:`~Histogram.merge` into exactly the histogram of the whole.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "TraceSpan", "Telemetry",
-           "default_latency_buckets", "TELEMETRY_SCHEMA_VERSION"]
+__all__ = ["Counter", "Gauge", "ExactSum", "Histogram", "TraceSpan",
+           "Telemetry", "default_latency_buckets",
+           "TELEMETRY_SCHEMA_VERSION"]
 
 #: Version of the exported JSON layout; parsers key on it, and every
 #: export carries it so serve/runtime/bench payloads read uniformly.
@@ -105,6 +111,76 @@ class Gauge:
         return f"Gauge({self.name}={self._last}, max={self._max})"
 
 
+class ExactSum:
+    """An exact, order-free float accumulator.
+
+    Every finite double is ``f * 2**e`` with ``frexp``'s ``0.5 <= |f| <
+    1``, so ``f * 2**53`` is an integer mantissa.  The accumulator keeps
+    one Python-int mantissa total per exponent ``e``; adding values and
+    merging accumulators are integer additions, hence associative and
+    commutative.  :attr:`value` rounds the exact total once, so it is
+    exactly :func:`math.fsum` of all values added, whatever their order
+    or grouping.
+    """
+
+    __slots__ = ("_totals",)
+
+    #: Split of a 53-bit mantissa into two limbs of at most 26 and 27
+    #: bits, and the block length under which ``np.bincount`` sums whole
+    #: limbs in float64 exactly (every partial sum stays below 2**53).
+    _HI, _LO = 2.0 ** 26, 2.0 ** 27
+    _BLOCK = 1 << 26
+
+    def __init__(self) -> None:
+        self._totals: dict[int, int] = {}
+
+    def add(self, value: float) -> None:
+        """Add one value: a ``frexp`` and an integer add, no numpy."""
+        if not math.isfinite(value):
+            raise ValueError(f"cannot accumulate non-finite value {value!r}")
+        f, e = math.frexp(value)
+        if f:
+            self._totals[e] = self._totals.get(e, 0) + int(f * 2.0 ** 53)
+
+    def add_many(self, values: np.ndarray) -> None:
+        """Add an array of values with a few numpy reductions."""
+        values = np.asarray(values, dtype=float).ravel()
+        if not np.isfinite(values).all():
+            raise ValueError("cannot accumulate non-finite values")
+        for start in range(0, values.size, self._BLOCK):
+            f, e = np.frexp(values[start:start + self._BLOCK])
+            base = int(e.min())
+            bins = e - base
+            f *= self._HI
+            hi = np.trunc(f)          # integer part, |hi| < 2**26
+            f -= hi
+            f *= self._LO             # exact integer, |lo| < 2**27
+            hi_sums = np.bincount(bins, weights=hi)
+            lo_sums = np.bincount(bins, weights=f)
+            totals = self._totals
+            for k in np.flatnonzero((hi_sums != 0) | (lo_sums != 0)):
+                mantissa = (int(hi_sums[k]) << 27) + int(lo_sums[k])
+                e_k = base + int(k)
+                totals[e_k] = totals.get(e_k, 0) + mantissa
+
+    def merge(self, other: "ExactSum") -> None:
+        """Add another accumulator's total into this one (exactly)."""
+        for e, mantissa in other._totals.items():
+            self._totals[e] = self._totals.get(e, 0) + mantissa
+
+    @property
+    def value(self) -> float:
+        """The exact total, correctly rounded (``math.fsum`` semantics)."""
+        if not self._totals:
+            return 0.0
+        low = min(self._totals)
+        total = sum(m << (e - low) for e, m in self._totals.items())
+        shift = low - 53
+        if shift >= 0:
+            return float(total << shift)
+        return total / (1 << -shift)   # int / int rounds correctly
+
+
 def default_latency_buckets() -> tuple[float, ...]:
     """Geometric bucket upper bounds covering this repo's latency scales.
 
@@ -118,7 +194,10 @@ class Histogram:
     """A fixed-bucket streaming histogram with count/sum/min/max.
 
     ``bounds`` are inclusive upper bucket boundaries; values above the
-    last boundary land in a final overflow bucket.
+    last boundary land in a final overflow bucket.  Every field is
+    order-free (integer counts, an :class:`ExactSum`, min/max), so the
+    histogram of a multiset of values does not depend on how it was
+    observed or merged.
     """
 
     __slots__ = ("name", "_bounds", "_counts", "_count", "_sum", "_min", "_max")
@@ -132,27 +211,43 @@ class Histogram:
         self._bounds = bounds
         self._counts = np.zeros(len(bounds) + 1, dtype=np.int64)
         self._count = 0
-        self._sum = 0.0
+        self._sum = ExactSum()
         self._min: float | None = None
         self._max: float | None = None
 
     def observe(self, value: float) -> None:
         value = float(value)
+        self._sum.add(value)      # rejects non-finite values first
         self._counts[bisect.bisect_left(self._bounds, value)] += 1
         self._count += 1
-        self._sum += value
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
+        self._extend(value, value)
 
     def observe_many(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             return
-        idx = np.searchsorted(np.asarray(self._bounds), values, side="left")
-        np.add.at(self._counts, idx, 1)
+        self._sum.add_many(values)   # rejects non-finite values first
+        self._counts += np.bincount(
+            np.searchsorted(self._bounds, values, side="left"),
+            minlength=len(self._counts))
         self._count += int(values.size)
-        self._sum += float(values.sum())
-        lo, hi = float(values.min()), float(values.max())
+        self._extend(float(values.min()), float(values.max()))
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold another histogram over the same bounds into this one.
+
+        Exact: the result equals observing both histograms' values here.
+        """
+        if other._bounds != self._bounds:
+            raise ValueError("can only merge histograms with equal bounds")
+        if other._count == 0:
+            return
+        self._counts += other._counts
+        self._count += other._count
+        self._sum.merge(other._sum)
+        self._extend(other._min, other._max)
+
+    def _extend(self, lo: float, hi: float) -> None:
         self._min = lo if self._min is None else min(self._min, lo)
         self._max = hi if self._max is None else max(self._max, hi)
 
@@ -162,13 +257,13 @@ class Histogram:
 
     @property
     def sum(self) -> float:
-        return self._sum
+        return self._sum.value
 
     @property
     def mean(self) -> float:
         if self._count == 0:
             return 0.0
-        return self._sum / self._count
+        return self.sum / self._count
 
     def quantile(self, q: float) -> float:
         """Bucket-resolution quantile estimate (upper bound of the bucket).
@@ -192,7 +287,7 @@ class Histogram:
     def to_dict(self) -> dict[str, Any]:
         return {
             "count": self._count,
-            "sum": self._sum,
+            "sum": self.sum,
             "mean": self.mean,
             "min": self._min,
             "max": self._max,
@@ -268,6 +363,11 @@ class Telemetry:
         span = TraceSpan(name=name, start=float(start), attributes=attributes)
         self._spans.append(span)
         return span
+
+    @property
+    def histograms(self) -> dict[str, Histogram]:
+        """The histograms observed so far, by name (read without creating)."""
+        return dict(self._histograms)
 
     @property
     def spans(self) -> list[TraceSpan]:

@@ -34,6 +34,7 @@ from ..dynamic.manager import DynamicPubSub
 from ..network.tree import PUBLISHER, BrokerTree
 from ..pubsub.filters import Filter
 from ..pubsub.matching import best_matcher
+from ..pubsub.simulator import route_columns
 from ..shard import ShardedMatcher, ShardPlan, plan_shards, replan_shards
 
 __all__ = ["DeliveryQueue", "RoutingTable", "LiveBroker"]
@@ -90,7 +91,7 @@ class DeliveryQueue:
         return item is _CLOSE
 
     def close(self) -> None:
-        """Wake the consumer; pending items after the sentinel are shed."""
+        """Refuse new items; the consumer drains pending ones, then stops."""
         if self.closed:
             return
         self.closed = True
@@ -136,29 +137,19 @@ class RoutingTable:
 
     def route_batch(self, points: np.ndarray
                     ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-        """Batched :meth:`route`: walk the tree once with surviving masks.
+        """Batched :meth:`route` through the shared :func:`route_columns`.
 
         Returns ``(entered, reached)`` — each a mapping from node id to
-        a boolean column over the event batch.  Equivalent to calling
-        :meth:`route` per point, but each edge costs one vectorized
-        filter containment over the surviving events.
+        a boolean column over the event batch, holding only the nodes
+        (leaves) that at least one event entered.  Equivalent to calling
+        :meth:`route` per point.
         """
-        pts = np.asarray(points, dtype=float)
-        entered: dict[int, np.ndarray] = {}
-        reached: dict[int, np.ndarray] = {}
-        stack: list[tuple[int, np.ndarray]] = [
-            (PUBLISHER, np.ones(pts.shape[0], dtype=bool))]
-        while stack:
-            node, mask = stack.pop()
-            for child in self.tree.children(node):
-                sub = mask & self.filters[child].contains_points(pts)
-                if not sub.any():
-                    continue
-                entered[child] = sub
-                if self.tree.is_leaf(child):
-                    reached[child] = sub
-                else:
-                    stack.append((child, sub))
+        columns = route_columns(self.tree, self.filters, points)
+        entered = {node: columns[node]
+                   for node in range(1, self.tree.num_nodes)
+                   if columns[node].any()}
+        reached = {int(leaf): entered[int(leaf)] for leaf in self.tree.leaves
+                   if int(leaf) in entered}
         return entered, reached
 
 
@@ -262,7 +253,7 @@ class LiveBroker:
         return leaf
 
     def unsubscribe(self, subscriber: Any) -> None:
-        """Deactivate a subscriber; its queued events are shed."""
+        """Deactivate a subscriber; its queue closes behind queued events."""
         j = self._validate_subscriber(subscriber)
         if j not in self._queues:
             raise ValueError(f"subscriber {j} is not subscribed")

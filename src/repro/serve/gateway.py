@@ -62,7 +62,12 @@ class ServeConfig:
 
 
 class _Connection:
-    """Per-connection state: owned subscribers and their pump tasks."""
+    """Per-connection state: owned subscribers and their pump tasks.
+
+    ``pumps`` holds every live pump task, including those of
+    unsubscribed subscribers still draining their queues; each task
+    leaves the set when it finishes.
+    """
 
     __slots__ = ("writer", "write_lock", "subscribers", "pumps", "conn_id")
 
@@ -70,7 +75,7 @@ class _Connection:
         self.writer = writer
         self.write_lock = asyncio.Lock()
         self.subscribers: set[int] = set()
-        self.pumps: dict[int, asyncio.Task] = {}
+        self.pumps: set[asyncio.Task] = set()
         #: Namespaces this connection's idempotency keys: two clients
         #: reusing the same key string must never see each other's
         #: cached responses.
@@ -181,7 +186,7 @@ class ServeDaemon:
 
     async def _teardown(self, conn: _Connection) -> None:
         """Auto-unsubscribe a closing connection's subscribers (churn)."""
-        for pump in conn.pumps.values():
+        for pump in list(conn.pumps):
             pump.cancel()
         if conn.subscribers:
             async with self.churn_lock:
@@ -255,18 +260,19 @@ class ServeDaemon:
             async with self.churn_lock:
                 leaf = self.broker.subscribe(j)
                 conn.subscribers.add(j)
-                conn.pumps[j] = asyncio.get_running_loop().create_task(
+                pump = asyncio.get_running_loop().create_task(
                     self._pump(self.broker.queue(j), conn, j))
+                conn.pumps.add(pump)
+                pump.add_done_callback(conn.pumps.discard)
             return protocol.reply(request, subscriber=j, leaf=leaf,
                                   routing_version=self.broker.routing.version)
         if op == "unsubscribe":
             j = _field(request, "subscriber")
             async with self.churn_lock:
+                # Closing the queue lets the pump write every event
+                # already enqueued (and counted as delivered), then exit.
                 self.broker.unsubscribe(j)
                 conn.subscribers.discard(j)
-                pump = conn.pumps.pop(j, None)
-            if pump is not None:
-                pump.cancel()
             return protocol.reply(request, subscriber=j)
         sent_at = request.get("sentAt")
         if sent_at is not None and not isinstance(sent_at, (int, float)):

@@ -6,16 +6,18 @@ only on the tree, filters, assignment, and fault schedule, never on
 *which* subscribers are being accounted.  So every shard worker runs the
 **full** engine over the complete problem and restricts only the
 delivery plane to its subgroup (``delivery_members``): matched/delivery
-counters, latency groups, and the per-shard cover-filtered matcher.
-The parent then
+counters, the delivery latency histogram, and the per-shard
+cover-filtered matcher.  The parent then
 
 1. asserts the control planes agree bit-for-bit (node entries, duration,
    queue peaks, abort flag) — any divergence is a determinism bug;
 2. scatter-sums the disjoint per-subscriber counters;
-3. folds every shard's deferred ``(event, leaf)`` latency groups in the
-   one canonical order the unsharded engine uses — concatenated pieces
-   of a group are re-sorted by subscriber index, so the float additions
-   (and the latency histogram) are *identical* to a single-process run.
+3. merges the shards' delivery latency histograms.  Each shard's
+   histogram holds exactly its subgroup's deliveries, every delivery's
+   latency is the float the unsharded engine computes for it, and a
+   histogram's sum is exact and order-free
+   (:class:`~repro.runtime.telemetry.ExactSum`), so the merged histogram
+   and the latency total are *identical* to a single-process run.
 
 That construction makes ``--shards N`` sha256-bit-identical to
 ``--shards 1`` for every configuration except per-event trace spans
@@ -92,7 +94,6 @@ def _engine_kwargs(task: _ShardTask) -> dict[str, Any]:
     if task.members is None:
         return kwargs
     kwargs["delivery_members"] = task.members
-    kwargs["defer_delivery_fold"] = True
     if task.config.epoch_batch > 0 and len(task.members):
         inner = best_matcher(
             task.problem.subscriptions.take(task.members),
@@ -127,11 +128,7 @@ def _run_shard(task: _ShardTask) -> dict[str, Any]:
                              failover=task.failover)
     result = engine.run(task.distribution, task.rng, task.num_events,
                         task.chunk_size)
-    partial: dict[str, Any] = {"result": result}
-    if task.members is not None:
-        partial["groups"] = engine.drain_delivery_groups()
-    partial["seconds"] = time.perf_counter() - started
-    return partial
+    return {"result": result, "seconds": time.perf_counter() - started}
 
 
 def _merge_partials(partials: list[dict[str, Any]]) -> RuntimeResult:
@@ -150,41 +147,30 @@ def _merge_partials(partials: list[dict[str, Any]]) -> RuntimeResult:
     deliveries = np.sum([p["result"].deliveries for p in partials], axis=0)
     missed = np.sum([p["result"].missed for p in partials], axis=0)
 
-    # One global canonical fold over every shard's deferred groups: sort
-    # by (event, leaf), and inside a group split across shards re-sort
-    # the concatenated latencies by subscriber index — that reproduces
-    # exactly the float-addition sequence of the unsharded engine.
-    merged: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
-    for partial in partials:
-        for event, leaf, receivers, latency in partial["groups"]:
-            merged.setdefault((event, leaf), []).append((receivers, latency))
+    # Each worker's telemetry is fresh, so its delivery latency
+    # histogram holds exactly its subgroup's deliveries; the merge is
+    # exact (integer counts, an order-free sum).
     telemetry = base.telemetry
-    total_latency = 0.0
-    histogram = telemetry.histogram("delivery_latency") if merged else None
-    for key in sorted(merged):
-        pieces = merged[key]
-        if len(pieces) == 1:
-            latency = pieces[0][1]
-        else:
-            receivers = np.concatenate([r for r, _lat in pieces])
-            latency = np.concatenate([lat for _r, lat in pieces])
-            latency = latency[np.argsort(receivers, kind="stable")]
-        total_latency += float(latency.sum())
-        histogram.observe_many(latency)
+    for partial in partials[1:]:
+        histogram = partial["result"].telemetry.histograms.get(
+            "delivery_latency")
+        if histogram is not None:
+            telemetry.histogram("delivery_latency").merge(histogram)
+    latency = telemetry.histograms.get("delivery_latency")
 
     # Shard 0's telemetry carries the (identical) control-plane metrics;
-    # patch in the global delivery accounting the deferred fold skipped.
+    # patch in the global delivery accounting.
     total_deliveries = int(deliveries.sum())
     if total_deliveries:
         telemetry.counter("deliveries").reset_to(total_deliveries)
-    telemetry.counter("missed_deliveries").inc(int(missed.sum()))
+    telemetry.counter("missed_deliveries").reset_to(int(missed.sum()))
 
     return RuntimeResult(
         num_events=base.num_events,
         node_entries=base.node_entries,
         deliveries=deliveries,
         missed=missed,
-        total_delivery_latency=total_latency,
+        total_delivery_latency=latency.sum if latency is not None else 0.0,
         duration=base.duration,
         queue_peaks=base.queue_peaks,
         telemetry=telemetry,

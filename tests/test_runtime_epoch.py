@@ -11,6 +11,7 @@ delays, churn, or abort guards are in play.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from repro import (
 )
 from repro.dynamic.churn import generate_churn_trace
 from repro.geometry import Rect
+from repro.network.tree import PUBLISHER
+from repro.pubsub import sample_event_stream
+from repro.runtime.telemetry import Histogram
 from repro.verify import epoch_runtime_oracle
 
 DIST = UniformEvents(Rect([0, 0], [100, 100]))
@@ -221,3 +225,82 @@ class TestGateReevaluation:
             return engine.run(DIST, np.random.default_rng(SEED), NUM_EVENTS)
 
         assert sha(run(0)) == sha(run(128))
+
+
+def delivery_latencies(problem, solution, num_events, interval=1.0):
+    """Every delivery's latency, recomputed independently of the engine.
+
+    Fault-free and frozen: event ``k`` published at ``k * interval``
+    reaches subscriber ``j`` iff every filter on the path to ``j``'s leaf
+    and ``j``'s subscription contain it; its latency is the arrival time
+    (publish time plus the hops, added root-first as a broker overlay
+    accumulates them) minus the publish time, plus the last hop.
+    """
+    tree = problem.tree
+    points = sample_event_stream(DIST, np.random.default_rng(SEED),
+                                 num_events)
+    matches = problem.subscriptions.contains_points(points)
+    latencies = []
+    for j, leaf in enumerate(solution.assignment):
+        path = [v for v in reversed(tree.path_to_root(int(leaf)))
+                if v != PUBLISHER]
+        hops = [tree.down_latency[v] - tree.down_latency[tree.parents[v]]
+                for v in path]
+        last_hop = float(np.linalg.norm(tree.positions[leaf]
+                                        - problem.subscriber_points[j]))
+        for k, point in enumerate(points):
+            if not matches[j, k]:
+                continue
+            if not all(solution.filters[v].contains_point(point)
+                       for v in path):
+                continue
+            arrival = k * interval
+            for hop in hops:
+                arrival = arrival + hop
+            latencies.append(arrival - k * interval + last_hop)
+    return latencies
+
+
+class TestExactLatency:
+    @pytest.mark.parametrize("epoch_batch", [0, 64])
+    def test_total_is_fsum_of_every_delivery(self, tiny_problem,
+                                             epoch_batch):
+        solution = offline_greedy(tiny_problem)
+        result = run_engine(tiny_problem, solution, epoch_batch=epoch_batch,
+                            num_events=300)
+        latencies = delivery_latencies(tiny_problem, solution, 300)
+        assert result.total_deliveries == len(latencies) > 0
+        assert result.total_delivery_latency == math.fsum(latencies)
+        histogram = result.telemetry.histogram("delivery_latency")
+        assert histogram.count == len(latencies)
+        assert histogram.sum == math.fsum(latencies)
+
+    @pytest.mark.parametrize("with_crash", [False, True])
+    def test_one_latency_fold_per_epoch_block(self, tiny_problem,
+                                              monkeypatch, with_crash):
+        calls = {"observe_many": 0, "scalar_publish": 0}
+        observe_many = Histogram.observe_many
+        publish = DisseminationEngine._publish
+
+        def counted_observe_many(self, values):
+            calls["observe_many"] += 1
+            return observe_many(self, values)
+
+        def counted_publish(self, k, time):
+            calls["scalar_publish"] += 1
+            return publish(self, k, time)
+
+        monkeypatch.setattr(Histogram, "observe_many", counted_observe_many)
+        monkeypatch.setattr(DisseminationEngine, "_publish", counted_publish)
+        solution = offline_greedy(tiny_problem)
+        plan = None
+        if with_crash:
+            victim = victim_leaf(tiny_problem, solution)
+            plan = FaultPlan(outages=(BrokerOutage(victim, 100.5, 400.5),))
+        num_events, epoch_batch = 1000, 128
+        result = run_engine(tiny_problem, solution, epoch_batch=epoch_batch,
+                            plan=plan, num_events=num_events)
+        assert result.total_deliveries > 0
+        assert calls["observe_many"] <= (math.ceil(num_events / epoch_batch)
+                                         + calls["scalar_publish"])
+        assert with_crash or calls["scalar_publish"] == 0

@@ -1,12 +1,34 @@
 """Telemetry primitive tests: counters, gauges, histograms, spans."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import Counter, Gauge, Histogram, Telemetry, TraceSpan
-from repro.runtime.telemetry import default_latency_buckets
+from repro.runtime.telemetry import ExactSum, default_latency_buckets
+
+#: Finite doubles from the smallest subnormal 2**-1074 up to just under
+#: 2**13, both signs, plus signed zeros: every one is an exact
+#: ``mantissa * 2**exponent`` with a 53-bit mantissa.
+doubles = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 2.0 ** 12]),
+    st.builds(math.ldexp, st.integers(-(2 ** 53) + 1, 2 ** 53 - 1),
+              st.integers(-1074, -40)),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+def accumulate(values, *, scalar=False):
+    acc = ExactSum()
+    if scalar:
+        for value in values:
+            acc.add(value)
+    else:
+        acc.add_many(np.array(values, dtype=float))
+    return acc
 
 
 class TestCounter:
@@ -62,6 +84,78 @@ class TestHistogram:
         d = h.to_dict()
         assert d["count"] == 1
         assert d["buckets"][0] == {"le": 1.0, "count": 1}
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(doubles, max_size=60), st.randoms(use_true_random=False))
+    def test_any_order_or_split_is_fsum(self, values, random):
+        expected = math.fsum(values)
+        whole = accumulate(values).value
+        assert whole == expected
+        assert math.copysign(1.0, whole) == math.copysign(1.0, expected)
+        shuffled = list(values)
+        random.shuffle(shuffled)
+        assert accumulate(shuffled, scalar=True).value == expected
+        # Any split into pieces, each accumulated alone, then merged.
+        cuts = sorted(random.sample(range(len(values) + 1),
+                                    k=min(3, len(values) + 1)))
+        merged = ExactSum()
+        for lo, hi in zip([0] + cuts, cuts + [len(values)]):
+            merged.merge(accumulate(shuffled[lo:hi]))
+        assert merged.value == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(doubles, max_size=20), st.lists(doubles, max_size=20),
+           st.lists(doubles, max_size=20))
+    def test_merge_is_associative_and_commutative(self, a, b, c):
+        def merged(*parts):
+            acc = ExactSum()
+            for part in parts:
+                acc.merge(part)
+            return acc
+
+        left = merged(merged(accumulate(a), accumulate(b)), accumulate(c))
+        right = merged(accumulate(a), merged(accumulate(b), accumulate(c)))
+        assert left.value == right.value == math.fsum(a + b + c)
+        assert (merged(accumulate(a), accumulate(b)).value
+                == merged(accumulate(b), accumulate(a)).value)
+
+    def test_large_array_stays_exact(self):
+        values = np.random.default_rng(3).uniform(0.0, 300.0, 200_000)
+        values[::7] = 1e-300
+        assert accumulate(values).value == math.fsum(values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ExactSum().add(bad)
+        with pytest.raises(ValueError):
+            ExactSum().add_many(np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            Histogram("h").observe(bad)
+        h = Histogram("h")
+        with pytest.raises(ValueError):
+            h.observe_many(np.array([1.0, bad]))
+        assert h.count == 0
+
+
+class TestHistogramMerge:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 5000.0), max_size=40),
+           st.lists(st.floats(0.0, 5000.0), max_size=40))
+    def test_merge_equals_observing_the_concatenation(self, a, b):
+        left, right, both = Histogram("h"), Histogram("h"), Histogram("h")
+        left.observe_many(np.array(a))
+        for value in b:
+            right.observe(value)
+        both.observe_many(np.array(a + b))
+        left.merge(right)
+        assert left.to_dict() == both.to_dict()
+
+    def test_merge_rejects_different_bounds(self):
+        with pytest.raises(ValueError):
+            Histogram("h", bounds=(1.0,)).merge(Histogram("h", bounds=(2.0,)))
 
 
 class TestSpans:

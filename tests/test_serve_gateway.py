@@ -247,3 +247,75 @@ class TestLifecycle:
                 assert event["point"] == pytest.approx(inside)
 
         asyncio.run(with_daemon(problem, body))
+
+
+class TestUnsubscribeDrain:
+    """Unsubscribing must not lose events already counted as delivered."""
+
+    @staticmethod
+    def inside_points(problem, subscriber, count):
+        lo = problem.subscriptions.lo[subscriber]
+        hi = problem.subscriptions.hi[subscriber]
+        return [((lo + hi) / 2.0).tolist()] * count
+
+    def test_slow_reader_receives_everything_delivered(self, problem):
+        async def body(daemon):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            writer.write(encode_frame({"op": "subscribe", "id": 1,
+                                       "subscriber": 0}))
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"]
+            # Publish and unsubscribe back to back, without reading: the
+            # daemon handles both frames before the pump writes anything.
+            writer.write(encode_frame({
+                "op": "publish_batch", "id": 2,
+                "points": self.inside_points(problem, 0, 200)})
+                + encode_frame({"op": "unsubscribe", "id": 3,
+                                "subscriber": 0}))
+            await writer.drain()
+            await asyncio.sleep(0.2)
+            received = 0
+            replies = {}
+            delivered = daemon.broker.stats()["delivered"]
+            assert delivered == 200
+            while received < delivered or len(replies) < 2:
+                message = json.loads(await asyncio.wait_for(
+                    reader.readline(), 5.0))
+                if message.get("type") == "event":
+                    received += 1
+                else:
+                    replies[message["id"]] = message
+            assert replies[2]["delivered"] == 200 and replies[3]["ok"]
+            assert received == delivered
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(with_daemon(problem, body))
+
+    def test_teardown_cancels_draining_pumps(self, problem):
+        async def body(daemon):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.port)
+            writer.write(encode_frame({"op": "subscribe", "id": 1,
+                                       "subscriber": 0}))
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"]
+            writer.write(encode_frame({
+                "op": "publish_batch", "id": 2,
+                "points": self.inside_points(problem, 0, 500)})
+                + encode_frame({"op": "unsubscribe", "id": 3,
+                                "subscriber": 0}))
+            await writer.drain()
+            writer.close()   # vanish without reading the queued events
+            await writer.wait_closed()
+            for _ in range(100):
+                pumps = [task for task in asyncio.all_tasks()
+                         if "_pump" in repr(task.get_coro())]
+                if not pumps and not daemon._connections:
+                    break
+                await asyncio.sleep(0.02)
+            assert not pumps
+            assert daemon.broker.active_count == 0
+
+        asyncio.run(with_daemon(problem, body))
